@@ -16,7 +16,9 @@ namespace qmpi::classical {
 /// `Runtime::run(n, fn)` plays the role of `mpirun -np n`: it creates a
 /// Universe, spawns one thread per rank, hands each a world Comm, joins all
 /// threads, and rethrows the first rank failure (after shutting the universe
-/// down so no peer deadlocks waiting for the dead rank).
+/// down so no peer deadlocks waiting for the dead rank). The Transport
+/// overload does the same for the ranks any transport hosts in this
+/// process, which is how the multi-process job launches its local block.
 class Runtime {
  public:
   using RankFn = std::function<void(Comm&)>;
@@ -25,21 +27,37 @@ class Runtime {
   /// Rethrows the first exception thrown by any rank.
   static void run(int world_size, const RankFn& fn) {
     Universe universe(world_size);
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<std::size_t>(world_size));
-    std::vector<std::exception_ptr> errors(
-        static_cast<std::size_t>(world_size));
+    run(universe, fn);
+  }
 
-    for (int r = 0; r < world_size; ++r) {
-      threads.emplace_back([&universe, &fn, &errors, r]() {
+  /// Runs `fn` on one thread per rank in `transport.local_ranks()`; blocks
+  /// until all finish. When a rank throws, `transport.fail("rank N failed:
+  /// <what>")` wakes every rank blocked on it, so the job fails fast
+  /// instead of deadlocking. Rethrows the root-cause exception.
+  static void run(Transport& transport, const RankFn& fn) {
+    const RankBlock block = transport.local_ranks();
+    const auto n = static_cast<std::size_t>(block.count);
+    std::vector<std::thread> threads;
+    threads.reserve(n);
+    std::vector<std::exception_ptr> errors(n);
+
+    for (int i = 0; i < block.count; ++i) {
+      threads.emplace_back([&, i]() {
+        const int rank = block.first + i;
+        auto& error = errors[static_cast<std::size_t>(i)];
+        std::string detail;
         try {
-          Comm comm = Comm::world(universe, r);
+          Comm comm = Comm::world(transport, rank);
           fn(comm);
+          return;
+        } catch (const std::exception& e) {
+          error = std::current_exception();
+          detail = std::string(": ") + e.what();
         } catch (...) {
-          errors[static_cast<std::size_t>(r)] = std::current_exception();
-          // Fail fast: wake every rank blocked on this one.
-          universe.shutdown();
+          error = std::current_exception();
+          detail = " with an unknown error";
         }
+        transport.fail("rank " + std::to_string(rank) + " failed" + detail);
       });
     }
     for (auto& t : threads) t.join();

@@ -937,7 +937,13 @@ void HubClient::receiver_loop() {
           // Staying on this thread keeps per-connection FIFO intact.
           const auto deliver = deliver_;
           lock.unlock();
-          deliver(dest, std::move(msg));
+          try {
+            deliver(dest, std::move(msg));
+          } catch (const ShutdownError&) {
+            // The run died after the epoch check (the root sequencer's
+            // rebroadcast then meets a dead run). Its abort carries the
+            // cause; the hub connection must survive for the next run.
+          }
           break;
         }
         case FrameType::kRunReady:

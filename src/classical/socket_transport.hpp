@@ -80,12 +80,6 @@ struct RunConfig {
   bool operator==(const RunConfig&) const = default;
 };
 
-/// The contiguous block of world ranks hosted by one process.
-struct RankBlock {
-  int first = 0;
-  int count = 0;
-};
-
 /// Where one rank process accepts direct peer connections. Port 0 means
 /// "no listener": the process opted out of the p2p data plane
 /// (QMPI_P2P=off) and every message toward it must go through the hub.
@@ -502,11 +496,10 @@ class SocketTransport final : public Transport {
   const char* name() const override { return "tcp"; }
   bool peer_to_peer() const override { return mesh_ != nullptr; }
 
-  /// The world ranks this process hosts.
-  RankBlock local_ranks() const { return local_; }
+  RankBlock local_ranks() const override { return local_; }
 
   /// shutdown() with a reason that peers will see in their QmpiError.
-  void fail(const std::string& reason);
+  void fail(const std::string& reason) override;
 
   /// Ships a sim-channel message (channel >= ChannelKind::kSimCtl) toward
   /// the process hosting `dest_world_rank`: self-delivery invokes the sim

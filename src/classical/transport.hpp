@@ -9,11 +9,18 @@
 
 
 #include <cstdint>
+#include <string>
 
 #include "classical/mailbox.hpp"
 #include "classical/message.hpp"
 
 namespace qmpi::classical {
+
+/// The contiguous block of world ranks hosted by one process.
+struct RankBlock {
+  int first = 0;
+  int count = 0;
+};
 
 /// Data-plane endpoint: ordered eager delivery toward one fixed
 /// destination world rank.
@@ -104,8 +111,17 @@ class Transport {
   /// propagates the abort to remote peers where applicable.
   virtual void shutdown() = 0;
 
+  /// shutdown() on behalf of a local rank that failed with `reason`; a
+  /// distributed transport hands the reason to its peers.
+  virtual void fail(const std::string& /*reason*/) { shutdown(); }
+
   /// Human-readable transport name ("inproc", "tcp") for diagnostics.
   virtual const char* name() const = 0;
+
+  /// The world ranks hosted in this process (one thread each under
+  /// Runtime::run): every rank for Universe, this process's block for
+  /// SocketTransport.
+  virtual RankBlock local_ranks() const = 0;
 
   // --------------------------------------------------------- data plane --
 

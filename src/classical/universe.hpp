@@ -62,6 +62,8 @@ class Universe final : public Transport {
 
   const char* name() const override { return "inproc"; }
 
+  RankBlock local_ranks() const override { return {0, world_size()}; }
+
  private:
   /// In-process channel: send() is a push into the destination's mailbox.
   class MailboxChannel final : public Channel {

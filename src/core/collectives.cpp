@@ -273,66 +273,17 @@ void Context::unallgather(const Qubit* send_qubits, std::size_t count,
 
 void Context::alltoall(const Qubit* send_qubits, Qubit* recv_qubits,
                        std::size_t count) {
-  const ResourceTracker::Scope scope(*tracker_, OpCategory::kCopy);
-  // Rank r's block j is copied into rank j's slot r. Split begin/complete
-  // phases keep the fully cyclic exchange deadlock-free (see sendrecv).
-  std::vector<std::vector<Qubit>> halves(static_cast<std::size_t>(size()));
-  auto stag = [&](int peer) {
-    return encode_tag(kCollTag, peer > rank() ? 1 : 2);
-  };
-  auto rtag = [&](int peer) {
-    return encode_tag(kCollTag, peer < rank() ? 1 : 2);
-  };
-  for (int peer = 0; peer < size(); ++peer) {
-    if (peer == rank()) continue;
-    for (std::size_t i = 0; i < count; ++i) {
-      halves[static_cast<std::size_t>(peer)].push_back(
-          send_begin(peer, stag(peer)));
-    }
-  }
-  for (int peer = 0; peer < size(); ++peer) {
-    if (peer == rank()) continue;
-    Qubit* in = recv_qubits + static_cast<std::size_t>(peer) * count;
-    for (std::size_t i = 0; i < count; ++i)
-      epr_begin(in[i], peer, rtag(peer));
-  }
-  for (int peer = 0; peer < size(); ++peer) {
-    const Qubit* out = send_qubits + static_cast<std::size_t>(peer) * count;
-    if (peer == rank()) {
-      Qubit* in = recv_qubits + static_cast<std::size_t>(peer) * count;
-      for (std::size_t i = 0; i < count; ++i) cnot(out[i], in[i]);
-      continue;
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      send_complete(out[i], halves[static_cast<std::size_t>(peer)][i], peer,
-                    stag(peer));
-    }
-  }
-  for (int peer = 0; peer < size(); ++peer) {
-    if (peer == rank()) continue;
-    Qubit* in = recv_qubits + static_cast<std::size_t>(peer) * count;
-    for (std::size_t i = 0; i < count; ++i)
-      recv_complete(in[i], peer, rtag(peer));
-  }
+  // Rank r's block j lands in rank j's slot r: alltoallv with equal counts.
+  const std::vector<std::size_t> counts(static_cast<std::size_t>(size()),
+                                        count);
+  alltoallv(send_qubits, counts, recv_qubits, counts);
 }
 
 void Context::unalltoall(const Qubit* send_qubits, Qubit* recv_qubits,
                          std::size_t count) {
-  const ResourceTracker::Scope scope(*tracker_, OpCategory::kUncopy);
-  for (int peer = 0; peer < size(); ++peer) {
-    Qubit* in = recv_qubits + static_cast<std::size_t>(peer) * count;
-    if (peer == rank()) {
-      const Qubit* out = send_qubits + static_cast<std::size_t>(peer) * count;
-      for (std::size_t i = 0; i < count; ++i) cnot(out[i], in[i]);
-      continue;
-    }
-    for (std::size_t i = 0; i < count; ++i) unrecv_one(in[i], peer, kCollTag);
-  }
-  for (int peer = 0; peer < size(); ++peer) {
-    if (peer == rank()) continue;
-    const Qubit* out = send_qubits + static_cast<std::size_t>(peer) * count;
-    for (std::size_t i = 0; i < count; ++i) unsend_one(out[i], peer, kCollTag);
-  }
+  const std::vector<std::size_t> counts(static_cast<std::size_t>(size()),
+                                        count);
+  unalltoallv(send_qubits, counts, recv_qubits, counts);
 }
 
 void Context::alltoallv(const Qubit* send_qubits,
@@ -350,7 +301,8 @@ void Context::alltoallv(const Qubit* send_qubits,
   auto rtag = [&](int peer) {
     return encode_tag(kCollTag, peer < rank() ? 1 : 2);
   };
-  // Split phases, as in alltoall.
+  // Rank r's block j is copied into rank j's slot r. Split begin/complete/
+  // data phases keep the fully cyclic exchange deadlock-free (see sendrecv).
   std::vector<std::vector<Qubit>> halves(static_cast<std::size_t>(size()));
   std::vector<std::size_t> send_off(static_cast<std::size_t>(size()), 0);
   std::vector<std::size_t> recv_off(static_cast<std::size_t>(size()), 0);
@@ -379,6 +331,17 @@ void Context::alltoallv(const Qubit* send_qubits,
       epr_begin(in[i], peer, rtag(peer));
     }
   }
+  // Every pair completes before any data phase (see sendrecv).
+  for (int peer = 0; peer < size(); ++peer) {
+    if (peer == rank()) continue;
+    for (const Qubit half : halves[static_cast<std::size_t>(peer)])
+      epr_complete(half, peer, stag(peer));
+    Qubit* in = recv_qubits + recv_off[static_cast<std::size_t>(peer)];
+    for (std::size_t i = 0; i < recv_counts[static_cast<std::size_t>(peer)];
+         ++i) {
+      epr_complete(in[i], peer, rtag(peer));
+    }
+  }
   for (int peer = 0; peer < size(); ++peer) {
     const Qubit* out = send_qubits + send_off[static_cast<std::size_t>(peer)];
     if (peer == rank()) {
@@ -391,8 +354,8 @@ void Context::alltoallv(const Qubit* send_qubits,
     }
     for (std::size_t i = 0; i < send_counts[static_cast<std::size_t>(peer)];
          ++i) {
-      send_complete(out[i], halves[static_cast<std::size_t>(peer)][i], peer,
-                    stag(peer));
+      send_data(out[i], halves[static_cast<std::size_t>(peer)][i], peer,
+                stag(peer));
     }
   }
   for (int peer = 0; peer < size(); ++peer) {
@@ -400,7 +363,7 @@ void Context::alltoallv(const Qubit* send_qubits,
     Qubit* in = recv_qubits + recv_off[static_cast<std::size_t>(peer)];
     for (std::size_t i = 0; i < recv_counts[static_cast<std::size_t>(peer)];
          ++i) {
-      recv_complete(in[i], peer, rtag(peer));
+      recv_data(in[i], peer, rtag(peer));
     }
   }
 }
@@ -543,8 +506,8 @@ void Context::unscatter_move(Qubit* send_qubits, Qubit* recv_qubits,
 void Context::alltoall_move(Qubit* send_qubits, Qubit* recv_qubits,
                             std::size_t count) {
   const ResourceTracker::Scope scope(*tracker_, OpCategory::kMove);
-  // Split phases as in alltoall: all EPR initiations precede any
-  // completion, so the cyclic exchange cannot deadlock.
+  // Split phases as in alltoallv: all EPR initiations precede any
+  // completion, and all completions precede any data phase.
   std::vector<std::vector<Qubit>> halves(static_cast<std::size_t>(size()));
   auto stag = [&](int peer) {
     return encode_tag(kCollTag, peer > rank() ? 1 : 2);
@@ -566,6 +529,16 @@ void Context::alltoall_move(Qubit* send_qubits, Qubit* recv_qubits,
       epr_begin(in[i], peer, rtag(peer));
   }
   for (int peer = 0; peer < size(); ++peer) {
+    if (peer == rank()) continue;
+    Qubit* in = recv_qubits + static_cast<std::size_t>(peer) * count;
+    for (std::size_t i = 0; i < count; ++i) {
+      epr_complete(halves[static_cast<std::size_t>(peer)][i], peer,
+                   stag(peer));
+    }
+    for (std::size_t i = 0; i < count; ++i)
+      epr_complete(in[i], peer, rtag(peer));
+  }
+  for (int peer = 0; peer < size(); ++peer) {
     Qubit* out = send_qubits + static_cast<std::size_t>(peer) * count;
     if (peer == rank()) {
       Qubit* in = recv_qubits + static_cast<std::size_t>(peer) * count;
@@ -576,15 +549,15 @@ void Context::alltoall_move(Qubit* send_qubits, Qubit* recv_qubits,
       continue;
     }
     for (std::size_t i = 0; i < count; ++i) {
-      send_move_complete(out[i], halves[static_cast<std::size_t>(peer)][i],
-                         peer, stag(peer));
+      send_move_data(out[i], halves[static_cast<std::size_t>(peer)][i], peer,
+                     stag(peer));
     }
   }
   for (int peer = 0; peer < size(); ++peer) {
     if (peer == rank()) continue;
     Qubit* in = recv_qubits + static_cast<std::size_t>(peer) * count;
     for (std::size_t i = 0; i < count; ++i)
-      recv_move_complete(in[i], peer, rtag(peer));
+      recv_move_data(in[i], peer, rtag(peer));
   }
 }
 

@@ -10,7 +10,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 
 #include "classical/socket_transport.hpp"
@@ -24,11 +23,6 @@
 #include "sim/thread_pool.hpp"
 
 namespace qmpi {
-
-Context::Context(classical::Comm user_comm, sim::SimServer& server,
-                 Trace* trace)
-    : Context(std::move(user_comm),
-              std::make_shared<sim::LocalSimClient>(server), trace) {}
 
 Context::Context(classical::Comm user_comm,
                  std::shared_ptr<sim::SimClient> sim, Trace* trace)
@@ -213,8 +207,7 @@ Qubit Context::send_begin(int dest, int ptag) {
   return epr[0];
 }
 
-void Context::send_complete(Qubit q, Qubit epr_half, int dest, int ptag) {
-  epr_complete(epr_half, dest, ptag);
+void Context::send_data(Qubit q, Qubit epr_half, int dest, int ptag) {
   cnot(q, epr_half);
   const bool m = measure(epr_half);
   // Reset the measured half to |0> so it can be freed.
@@ -228,11 +221,11 @@ void Context::send_complete(Qubit q, Qubit epr_half, int dest, int ptag) {
 void Context::send_one(Qubit q, int dest, int tag) {
   const int ptag = encode_tag(tag, direction_sub(rank(), dest));
   const Qubit e = send_begin(dest, ptag);
-  send_complete(q, e, dest, ptag);
+  epr_complete(e, dest, ptag);
+  send_data(q, e, dest, ptag);
 }
 
-void Context::recv_complete(Qubit q, int source, int ptag) {
-  epr_complete(q, source, ptag);
+void Context::recv_data(Qubit q, int source, int ptag) {
   const auto m = protocol_comm_.recv<std::uint8_t>(source, ptag);
   if (m != 0) x(q);
 }
@@ -240,7 +233,8 @@ void Context::recv_complete(Qubit q, int source, int ptag) {
 void Context::recv_one(Qubit q, int source, int tag) {
   const int ptag = encode_tag(tag, direction_sub(source, rank()));
   epr_begin(q, source, ptag);
-  recv_complete(q, source, ptag);
+  epr_complete(q, source, ptag);
+  recv_data(q, source, ptag);
 }
 
 void Context::unsend_one(Qubit q, int dest, int tag) {
@@ -291,9 +285,11 @@ void Context::unrecv(const Qubit* qubits, std::size_t count, int source,
 void Context::sendrecv(const Qubit* send_qubits, std::size_t send_count,
                        int dest, int send_tag, const Qubit* recv_qubits,
                        std::size_t recv_count, int source, int recv_tag) {
-  // Implemented with split begin/complete phases (as MPI implements
+  // Implemented with split begin/complete/data phases (as MPI implements
   // Sendrecv over nonblocking primitives) so cyclic exchange patterns —
   // both peers "sending first" — cannot deadlock in the EPR rendezvous.
+  // Every pair completes before any data phase: a higher-ranked peer posts
+  // all of its qubit ids up front, so its fix-ups queue behind them.
   check_user_tag(send_tag, "sendrecv");
   check_user_tag(recv_tag, "sendrecv");
   const ResourceTracker::Scope scope(*tracker_, OpCategory::kCopy);
@@ -306,9 +302,13 @@ void Context::sendrecv(const Qubit* send_qubits, std::size_t send_count,
   for (std::size_t i = 0; i < recv_count; ++i)
     epr_begin(recv_qubits[i], source, rtag);
   for (std::size_t i = 0; i < send_count; ++i)
-    send_complete(send_qubits[i], halves[i], dest, stag);
+    epr_complete(halves[i], dest, stag);
   for (std::size_t i = 0; i < recv_count; ++i)
-    recv_complete(recv_qubits[i], source, rtag);
+    epr_complete(recv_qubits[i], source, rtag);
+  for (std::size_t i = 0; i < send_count; ++i)
+    send_data(send_qubits[i], halves[i], dest, stag);
+  for (std::size_t i = 0; i < recv_count; ++i)
+    recv_data(recv_qubits[i], source, rtag);
 }
 
 void Context::unsendrecv(const Qubit* send_qubits, std::size_t send_count,
@@ -320,11 +320,9 @@ void Context::unsendrecv(const Qubit* send_qubits, std::size_t send_count,
 
 // ----------------------------------------------------- p2p move protocol ---
 
-void Context::send_move_complete(Qubit q, Qubit epr_half, int dest,
-                                 int ptag) {
+void Context::send_move_data(Qubit q, Qubit epr_half, int dest, int ptag) {
   // Appendix A.1 QMPI_Send_move: fanout via the EPR half, then remove the
   // local qubit with an X-basis measurement (deferred-measurement CNOT).
-  epr_complete(epr_half, dest, ptag);
   cnot(q, epr_half);
   int r = measure(epr_half) ? 1 : 0;
   h(q);
@@ -340,11 +338,11 @@ void Context::send_move_complete(Qubit q, Qubit epr_half, int dest,
 void Context::send_move_one(Qubit q, int dest, int tag) {
   const int ptag = encode_tag(tag, direction_sub(rank(), dest));
   const Qubit e = send_begin(dest, ptag);
-  send_move_complete(q, e, dest, ptag);
+  epr_complete(e, dest, ptag);
+  send_move_data(q, e, dest, ptag);
 }
 
-void Context::recv_move_complete(Qubit q, int source, int ptag) {
-  epr_complete(q, source, ptag);
+void Context::recv_move_data(Qubit q, int source, int ptag) {
   const int r = protocol_comm_.recv<int>(source, ptag);
   if (r & 1) x(q);
   if (r & 2) z(q);
@@ -353,7 +351,8 @@ void Context::recv_move_complete(Qubit q, int source, int ptag) {
 void Context::recv_move_one(Qubit q, int source, int tag) {
   const int ptag = encode_tag(tag, direction_sub(source, rank()));
   epr_begin(q, source, ptag);
-  recv_move_complete(q, source, ptag);
+  epr_complete(q, source, ptag);
+  recv_move_data(q, source, ptag);
 }
 
 void Context::send_move(const Qubit* qubits, std::size_t count, int dest,
@@ -390,8 +389,10 @@ void Context::exchange_move(Qubit* qubits, std::size_t count, int dest,
                             int source, int tag) {
   // Split-phase bidirectional teleport: outgoing state leaves via
   // send_move, incoming state lands in freshly allocated qubits that then
-  // replace the caller's handles. Begin phases for both directions run
-  // before any complete phase, so rings and pairwise swaps cannot deadlock.
+  // replace the caller's handles. Phases run as in sendrecv: every begin,
+  // then every EPR completion, then the data, so rings and pairwise swaps
+  // cannot deadlock and a higher-ranked peer's up-front qubit ids never
+  // meet a fix-up read.
   const int stag = encode_tag(tag, direction_sub(rank(), dest));
   const int rtag = encode_tag(tag, direction_sub(source, rank()));
   std::vector<Qubit> halves;
@@ -401,10 +402,13 @@ void Context::exchange_move(Qubit* qubits, std::size_t count, int dest,
     halves.push_back(send_begin(dest, stag));
   for (std::size_t i = 0; i < count; ++i)
     epr_begin(incoming[i], source, rtag);
+  for (std::size_t i = 0; i < count; ++i) epr_complete(halves[i], dest, stag);
   for (std::size_t i = 0; i < count; ++i)
-    send_move_complete(qubits[i], halves[i], dest, stag);
+    epr_complete(incoming[i], source, rtag);
   for (std::size_t i = 0; i < count; ++i)
-    recv_move_complete(incoming[i], source, rtag);
+    send_move_data(qubits[i], halves[i], dest, stag);
+  for (std::size_t i = 0; i < count; ++i)
+    recv_move_data(incoming[i], source, rtag);
   // The old handles are |0> after the move; free them and adopt the
   // incoming qubits in place (MPI_Sendrecv_replace semantics).
   for (std::size_t i = 0; i < count; ++i) {
@@ -525,26 +529,22 @@ void Context::start_recv(PersistentHandle& handle, Qubit* out,
 
 // ------------------------------------------------------------- aggregation ---
 
+namespace {
+
+/// The allreduce operator behind the world-wide resource totals.
+ResourceTracker::Counts add_counts(ResourceTracker::Counts x,
+                                   const ResourceTracker::Counts& y) {
+  return x += y;
+}
+
+}  // namespace
+
 ResourceTracker::Counts Context::aggregate_resources(OpCategory category) {
-  const auto mine = (*tracker_)[category];
-  struct Pair {
-    std::uint64_t a, b;
-  };
-  const Pair sum = user_comm_.allreduce(
-      Pair{mine.epr_pairs, mine.classical_bits},
-      [](Pair x, Pair y) { return Pair{x.a + y.a, x.b + y.b}; });
-  return ResourceTracker::Counts{sum.a, sum.b};
+  return user_comm_.allreduce((*tracker_)[category], add_counts);
 }
 
 ResourceTracker::Counts Context::aggregate_total() {
-  const auto mine = tracker_->total();
-  struct Pair {
-    std::uint64_t a, b;
-  };
-  const Pair sum = user_comm_.allreduce(
-      Pair{mine.epr_pairs, mine.classical_bits},
-      [](Pair x, Pair y) { return Pair{x.a + y.a, x.b + y.b}; });
-  return ResourceTracker::Counts{sum.a, sum.b};
+  return user_comm_.allreduce(tracker_->total(), add_counts);
 }
 
 // ------------------------------------------------------------ job harness ---
@@ -702,317 +702,272 @@ classical::HubClient& tcp_hub_client() {
   return *client;
 }
 
-/// One run() under QMPI_TRANSPORT=tcp: this process hosts a contiguous
-/// block of the job's ranks as threads, every quantum operation is
-/// forwarded to the hub's backend, and resource totals are world-summed at
-/// the end barrier so the JobReport *totals* are identical in all
-/// processes. The trace (when enabled) deliberately stays per-process:
-/// it covers only locally hosted ranks and is not merged.
-JobReport run_tcp(const JobOptions& options,
-                  const std::function<void(Context&)>& fn) {
-  if (options.num_ranks < 1) {
-    throw QmpiError("run: num_ranks must be >= 1");
-  }
-  classical::HubClient& hub = tcp_hub_client();
-  const bool distributed =
-      options.backend == sim::BackendKind::kDistributed;
-  classical::RunConfig cfg;
-  cfg.num_ranks = static_cast<std::uint32_t>(options.num_ranks);
-  cfg.seed = options.seed;
-  cfg.backend = static_cast<std::uint8_t>(options.backend);
-  cfg.num_shards = options.num_shards;
-  cfg.sim_threads = options.sim_threads;
-  // Processes participating in the distributed sim plane: with more
-  // processes than ranks the extras host zero ranks, issue no quantum
-  // ops, and stay out of slice ownership entirely (they still sit in the
-  // run barriers, like hub mode).
-  const int sim_world = std::min(hub.nprocs(), options.num_ranks);
-  if (distributed) {
-    // Slices are the unit of cross-process ownership: at least one per
-    // participating process (rounded to the power of two the sharded
-    // layout needs). Every process computes the same count from the same
-    // env, and the RunConfig barrier rejects any disagreement.
-    const auto floor = std::bit_ceil(static_cast<unsigned>(sim_world));
-    cfg.num_shards = std::max(options.num_shards, floor);
-    if (cfg.num_shards > sim::kMaxShards) {
-      throw QmpiError("QMPI_BACKEND=distributed with " +
-                      std::to_string(sim_world) +
-                      " processes needs more than the maximum " +
-                      std::to_string(sim::kMaxShards) + " slices");
-    }
-  }
+constexpr auto kCategories = static_cast<std::size_t>(OpCategory::kCount_);
 
-  // Order matters: register the transport's delivery sinks (and, with p2p
-  // enabled, the peer listener address) before the begin barrier so no
-  // peer's first message can race the registration, and keep the transport
-  // alive until after end_run (the RUN_END_ACK guarantees no further
-  // deliveries are in flight).
-  classical::SocketTransport transport(hub, options.num_ranks, options.p2p,
-                                       options.p2p_host);
+/// What the transport decides for one run(): the classical fabric whose
+/// local_ranks() run as threads of this process, the one SimClient they
+/// all share, how this process's totals become the job's, and teardown.
+/// Everything else about a job is run()'s, once.
+class JobFabric {
+ public:
+  virtual ~JobFabric() = default;
 
-  // All locally hosted rank threads share one SimClient (and thus one op
-  // pipeline): the buffer preserves per-process issue order, and the
-  // transport's flush-before-post hook extends that order across
-  // processes. Destroyed before `transport` goes away, after end_run.
-  //
-  // distributed: this process's backend replica lives inside the client
-  // and sweeps run here, so resolve the SIMD tier locally. The client must
-  // exist before the begin barrier completes — its sim sink has to be
-  // registered before any peer can address us. Hub-hosted backends are
-  // created after the barrier instead (their first op is a hub round trip,
-  // which cannot race anything).
+  virtual classical::Transport& transport() = 0;
+
+  /// Called while a ShutdownError is the job's only error: may throw the
+  /// job-level cause instead (run() rethrows the ShutdownError otherwise).
+  virtual void aborted() {}
+
+  /// After every local rank passed the run boundary: turns this process's
+  /// totals in `report` into the job's, and tears down.
+  virtual void finish(JobReport& /*report*/) {}
+
   std::shared_ptr<sim::SimClient> sim;
-  if (distributed && hub.proc_id() < sim_world) {
-    sim::simd::set_active(sim::simd::resolve(options.simd).isa);
-    // Addressing inside the client uses rank_block over sim_world, which
-    // agrees with the transport's real placement for every participating
-    // process (the extras only ever truncate the tail of the blocks).
-    sim = std::make_shared<DistSimClient>(
-        transport, options.num_ranks, sim_world, hub.proc_id(),
-        cfg.num_shards, options.seed, options.sim_threads,
-        options.sim_batch_ops);
-  }
-  hub.begin_run(cfg);
-  if (!distributed) {
-    sim = std::make_shared<RemoteSimClient>(hub, options.sim_batch_ops);
-  }
-  Trace trace;
-  Trace* trace_ptr = options.enable_trace ? &trace : nullptr;
-  const classical::RankBlock block = transport.local_ranks();
+};
 
-  constexpr auto kCategories = static_cast<std::size_t>(OpCategory::kCount_);
-  std::vector<std::array<ResourceTracker::Counts, kCategories>> per_rank(
-      static_cast<std::size_t>(block.count));
-  std::vector<std::exception_ptr> errors(
-      static_cast<std::size_t>(block.count));
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<std::size_t>(block.count));
-  for (int i = 0; i < block.count; ++i) {
-    threads.emplace_back([&, i]() {
-      try {
-        classical::Comm world =
-            classical::Comm::world(transport, block.first + i);
-        Context ctx(world, sim, trace_ptr);
-        fn(ctx);
-        // Run boundary: every op this rank issued must execute (and any
-        // deferred batch error must surface *here*, attributed to a rank,
-        // where the harness's root-cause reporting can see it) before the
-        // job is allowed to complete.
-        ctx.sim().fence();
-        ctx.classical_comm().barrier();
-        for (std::size_t c = 0; c < kCategories; ++c) {
-          per_rank[static_cast<std::size_t>(i)][c] =
-              ctx.tracker()[static_cast<OpCategory>(c)];
-        }
-      } catch (const std::exception& e) {
-        errors[static_cast<std::size_t>(i)] = std::current_exception();
-        transport.fail(std::string("rank ") + std::to_string(block.first + i) +
-                       " failed: " + e.what());
-      } catch (...) {
-        errors[static_cast<std::size_t>(i)] = std::current_exception();
-        transport.fail("rank " + std::to_string(block.first + i) +
-                       " failed with an unknown error");
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-
-  // Prefer the root-cause exception over secondary ShutdownErrors, as the
-  // in-process Runtime does; when every local failure is secondary the
-  // hub's abort reason carries the actual cause from the failing process.
-  std::exception_ptr first;
-  bool any_shutdown = false;
-  for (auto& e : errors) {
-    if (!e) continue;
-    try {
-      std::rethrow_exception(e);
-    } catch (const classical::ShutdownError&) {
-      any_shutdown = true;
-    } catch (...) {
-      if (!first) first = e;
+/// inproc: every quantum operation is a command on one in-process
+/// SimServer.
+class InprocFabric final : public JobFabric {
+ public:
+  InprocFabric(const JobOptions& options, sim::BackendKind backend)
+      : universe_(options.num_ranks),
+        server_(options.seed, options.sim_threads, backend,
+                options.num_shards) {
+    if (options.circuit_cache > 0) {
+      // Attach the compiled-cluster cache through the command queue so it
+      // never races gate traffic. Replay is bit-identical to a cold
+      // compile, so this is purely a throughput knob.
+      auto cache = std::make_shared<sim::ClusterCache>(options.circuit_cache);
+      server_.call([&cache](sim::Backend& b) {
+        b.set_cluster_cache(cache);
+        return 0;
+      });
     }
+    sim = std::make_shared<sim::LocalSimClient>(server_);
   }
-  if (first) std::rethrow_exception(first);
-  if (any_shutdown) {
-    const std::string reason = hub.dead_reason();
+
+  classical::Transport& transport() override { return universe_; }
+
+ private:
+  classical::Universe universe_;
+  sim::SimServer server_;
+};
+
+/// service: every quantum operation goes to a session on a resident qmpid,
+/// which admits it against its memory budget and fair-schedules its sweeps
+/// against other tenants'. The session is this job's private epoch/RNG
+/// namespace.
+class ServiceFabric final : public JobFabric {
+ public:
+  ServiceFabric(const JobOptions& options, sim::BackendKind backend)
+      : universe_(options.num_ranks) {
+    if (options.service_port == 0) {
+      throw QmpiError(
+          "QMPI_TRANSPORT=service requires QMPI_SERVICE_PORT (qmpid prints "
+          "the port it serves on)");
+    }
+    service::SessionConfig scfg;
+    scfg.host = options.service_host;
+    scfg.port = options.service_port;
+    scfg.seed = options.seed;
+    scfg.backend = backend;
+    scfg.num_shards = options.num_shards;
+    scfg.sim_threads = options.sim_threads;
+    scfg.max_qubits = options.service_qubits;
+    scfg.max_batch_ops = options.sim_batch_ops;
+    // Throws the typed AdmissionError when the session can never fit the
+    // service's memory budget; blocks (FIFO) while capacity is merely busy.
+    session_ = std::make_shared<service::SessionClient>(scfg);
+    sim = session_;
+  }
+
+  classical::Transport& transport() override { return universe_; }
+
+  void finish(JobReport& /*report*/) override { session_->close(); }
+
+ private:
+  classical::Universe universe_;
+  std::shared_ptr<service::SessionClient> session_;
+};
+
+/// tcp: this process hosts its contiguous block of the job's ranks, every
+/// quantum operation goes to the hub's backend (or, distributed, to the
+/// replicas the rank processes host), and the totals are world-summed at
+/// the end barrier, so every process reports the same totals.
+class TcpFabric final : public JobFabric {
+ public:
+  explicit TcpFabric(const JobOptions& options)
+      : hub_(tcp_hub_client()),
+        sim_world_(std::min(hub_.nprocs(), options.num_ranks)),
+        cfg_(run_config(options, sim_world_)),
+        // Registers the delivery sinks (and the p2p listener address)
+        // before the begin barrier, so no peer's first message races them.
+        transport_(hub_, options.num_ranks, options.p2p, options.p2p_host) {
+    // A distributed replica lives inside its client, whose sim sink must
+    // be registered before the begin barrier lets peers address us;
+    // processes beyond the sim world host no ranks and no replica. A
+    // hub-hosted backend's client comes after the barrier. The client is a
+    // local until then, so a failed barrier destroys it before transport_.
+    const bool distributed =
+        options.backend == sim::BackendKind::kDistributed;
+    std::shared_ptr<sim::SimClient> client;
+    if (distributed && hub_.proc_id() < sim_world_) {
+      client = std::make_shared<DistSimClient>(
+          transport_, options.num_ranks, sim_world_, hub_.proc_id(),
+          cfg_.num_shards, options.seed, options.sim_threads,
+          options.sim_batch_ops);
+    }
+    hub_.begin_run(cfg_);
+    if (!distributed) {
+      client = std::make_shared<RemoteSimClient>(hub_, options.sim_batch_ops);
+    }
+    sim = std::move(client);
+  }
+
+  /// The client goes before the transport it is registered with.
+  ~TcpFabric() override { sim.reset(); }
+
+  classical::Transport& transport() override { return transport_; }
+
+  /// Every local failure was secondary: the hub's abort reason carries the
+  /// cause from the failing process.
+  void aborted() override {
+    const std::string reason = hub_.dead_reason();
     throw QmpiError("QMPI job aborted" +
                     (reason.empty() ? std::string(" by a peer process")
                                     : ": " + reason));
   }
 
-  // End barrier: flatten local totals, receive the world-wide sums. The
-  // wire layout is [epr_pairs, classical_bits] per category; if Counts
-  // ever grows a field, this assert forces the tcp path to learn about it
-  // (or inproc and tcp reports would silently diverge).
-  static_assert(sizeof(ResourceTracker::Counts) == 2 * sizeof(std::uint64_t),
-                "update the RUN_END totals layout for the new Counts field");
-  std::vector<std::uint64_t> totals(kCategories * 2, 0);
-  for (const auto& rank_counts : per_rank) {
-    for (std::size_t c = 0; c < kCategories; ++c) {
-      totals[2 * c] += rank_counts[c].epr_pairs;
-      totals[2 * c + 1] += rank_counts[c].classical_bits;
+  /// End barrier: ships [epr_pairs, classical_bits] per category and
+  /// receives the world sums. end_run turns a peer failure at the barrier
+  /// into a QmpiError with the job-level cause.
+  void finish(JobReport& report) override {
+    static_assert(
+        sizeof(ResourceTracker::Counts) == 2 * sizeof(std::uint64_t),
+        "update the RUN_END totals layout for the new Counts field");
+    std::vector<std::uint64_t> wire;
+    for (const auto& counts : report.totals_by_category) {
+      wire.push_back(counts.epr_pairs);
+      wire.push_back(counts.classical_bits);
+    }
+    const auto world = hub_.end_run(wire);
+    for (std::size_t c = 0; c < kCategories && 2 * c + 1 < world.size(); ++c) {
+      report.totals_by_category[c] = {world[2 * c], world[2 * c + 1]};
     }
   }
-  // end_run translates a peer failure at the end barrier into a QmpiError
-  // carrying the job-level cause (possible even with zero local ranks).
-  const auto world_totals = hub.end_run(totals);
 
-  JobReport report;
-  for (std::size_t c = 0;
-       c < kCategories && 2 * c + 1 < world_totals.size(); ++c) {
-    report.totals_by_category[c].epr_pairs = world_totals[2 * c];
-    report.totals_by_category[c].classical_bits = world_totals[2 * c + 1];
-  }
-  report.trace = trace.snapshot();
-  // Under tcp the sweep kernels run in the hub process (qmpirun), which
-  // reads its own QMPI_SIMD; resolving locally still records the fallback
-  // notice this node would hit, keeping reports honest either way.
-  const sim::simd::Selection simd_sel = sim::simd::resolve(options.simd);
-  if (!simd_sel.notice.empty()) report.notices.push_back(simd_sel.notice);
-  return report;
-}
-
-/// One run() under QMPI_TRANSPORT=service: ranks are threads of this
-/// process (exactly the in-process harness) but every quantum operation
-/// goes to a session opened on a resident qmpid job service, which admits
-/// the session against its memory budget and fair-schedules its sweeps
-/// against other tenants'. The session is this job's private epoch/RNG
-/// namespace; other tenants on the same service cannot perturb it.
-JobReport run_service(const JobOptions& options,
-                      const std::function<void(Context&)>& fn) {
-  if (options.num_ranks < 1) {
-    throw QmpiError("run: num_ranks must be >= 1");
-  }
-  if (options.service_port == 0) {
-    throw QmpiError(
-        "QMPI_TRANSPORT=service requires QMPI_SERVICE_PORT (qmpid prints "
-        "the port it serves on)");
-  }
-  // The service hosts serial/sharded sessions; the distributed backend
-  // needs rank processes, so degrade exactly as the in-process path does.
-  sim::BackendKind backend_kind = options.backend;
-  std::string backend_notice;
-  if (backend_kind == sim::BackendKind::kDistributed) {
-    backend_kind = sim::BackendKind::kSharded;
-    backend_notice =
-        "QMPI_BACKEND=distributed needs the tcp transport; this service "
-        "session ran the sharded backend (its single-process equivalent)";
-  }
-  service::SessionConfig scfg;
-  scfg.host = options.service_host;
-  scfg.port = options.service_port;
-  scfg.seed = options.seed;
-  scfg.backend = backend_kind;
-  scfg.num_shards = options.num_shards;
-  scfg.sim_threads = options.sim_threads;
-  scfg.max_qubits = options.service_qubits;
-  scfg.max_batch_ops = options.sim_batch_ops;
-  // Throws the typed AdmissionError when the session can never fit the
-  // service's memory budget; blocks (FIFO) while capacity is merely busy.
-  const auto sim = std::make_shared<service::SessionClient>(scfg);
-
-  Trace trace;
-  Trace* trace_ptr = options.enable_trace ? &trace : nullptr;
-  constexpr auto kCategories = static_cast<std::size_t>(OpCategory::kCount_);
-  std::vector<std::array<ResourceTracker::Counts, kCategories>> per_rank(
-      static_cast<std::size_t>(options.num_ranks));
-
-  classical::Runtime::run(options.num_ranks, [&](classical::Comm& world) {
-    Context ctx(world, sim, trace_ptr);
-    fn(ctx);
-    // Run boundary, as under tcp: every op must execute (and any deferred
-    // batch error must surface here, attributed to a rank) before the job
-    // may complete.
-    ctx.sim().fence();
-    ctx.classical_comm().barrier();
-    for (std::size_t c = 0; c < kCategories; ++c) {
-      per_rank[static_cast<std::size_t>(ctx.rank())][c] =
-          ctx.tracker()[static_cast<OpCategory>(c)];
+ private:
+  /// Configuration every process must agree on at the begin barrier.
+  static classical::RunConfig run_config(const JobOptions& options,
+                                         int sim_world) {
+    classical::RunConfig cfg;
+    cfg.num_ranks = static_cast<std::uint32_t>(options.num_ranks);
+    cfg.seed = options.seed;
+    cfg.backend = static_cast<std::uint8_t>(options.backend);
+    cfg.num_shards = options.num_shards;
+    cfg.sim_threads = options.sim_threads;
+    if (options.backend == sim::BackendKind::kDistributed) {
+      // Slices are the unit of cross-process ownership: at least one per
+      // participating process (rounded to the power of two the sharded
+      // layout needs). Every process computes the same count from the
+      // same env, and the RunConfig barrier rejects any disagreement.
+      const auto floor = std::bit_ceil(static_cast<unsigned>(sim_world));
+      cfg.num_shards = std::max(options.num_shards, floor);
+      if (cfg.num_shards > sim::kMaxShards) {
+        throw QmpiError("QMPI_BACKEND=distributed with " +
+                        std::to_string(sim_world) +
+                        " processes needs more than the maximum " +
+                        std::to_string(sim::kMaxShards) + " slices");
+      }
     }
-  });
-  sim->close();
-
-  JobReport report;
-  for (const auto& rank_counts : per_rank) {
-    for (std::size_t c = 0; c < kCategories; ++c) {
-      report.totals_by_category[c] += rank_counts[c];
-    }
+    return cfg;
   }
-  report.trace = trace.snapshot();
-  if (!backend_notice.empty()) report.notices.push_back(backend_notice);
-  // Sweeps run in the qmpid process, which resolves its own QMPI_SIMD;
-  // recording the local fallback notice keeps reports honest, as in tcp.
-  const sim::simd::Selection simd_sel = sim::simd::resolve(options.simd);
-  if (!simd_sel.notice.empty()) report.notices.push_back(simd_sel.notice);
-  return report;
-}
+
+  classical::HubClient& hub_;
+  int sim_world_;
+  classical::RunConfig cfg_;
+  // Outlives end_run, whose ack guarantees no delivery is still in flight.
+  classical::SocketTransport transport_;
+};
 
 }  // namespace
 
 JobReport run(const JobOptions& options,
               const std::function<void(Context&)>& fn) {
-  if (options.transport == TransportKind::kTcp) return run_tcp(options, fn);
-  if (options.transport == TransportKind::kService) {
-    return run_service(options, fn);
+  if (options.num_ranks < 1) {
+    throw QmpiError("run: num_ranks must be >= 1");
   }
-  // The distributed backend needs rank processes; in-process it degrades
-  // to its world-1 equivalent — the sharded backend — with a notice, so
-  // one job script runs under either transport and the report stays
-  // honest about what executed.
-  sim::BackendKind backend_kind = options.backend;
-  std::string backend_notice;
-  if (backend_kind == sim::BackendKind::kDistributed) {
-    backend_kind = sim::BackendKind::kSharded;
-    backend_notice =
-        "QMPI_BACKEND=distributed needs the tcp transport; this in-process "
-        "job ran the sharded backend (its single-process equivalent)";
+  const bool tcp = options.transport == TransportKind::kTcp;
+  JobReport report;
+
+  // The distributed backend needs rank processes; on one process it
+  // degrades to its world-1 equivalent — the sharded backend — with a
+  // notice, so one job script runs under any transport and the report
+  // stays honest about what executed.
+  sim::BackendKind backend = options.backend;
+  if (backend == sim::BackendKind::kDistributed && !tcp) {
+    backend = sim::BackendKind::kSharded;
+    report.notices.push_back(
+        std::string("QMPI_BACKEND=distributed needs the tcp transport; this ") +
+        (options.transport == TransportKind::kService ? "service session"
+                                                      : "in-process job") +
+        " ran the sharded backend (its single-process equivalent)");
   }
-  // Resolve the SIMD tier before the backend exists so every sweep of this
-  // job runs the selected kernels. Unavailable-ISA fallback is a notice,
-  // not an error — the report records what actually executed.
-  const sim::simd::Selection simd_sel = sim::simd::resolve(options.simd);
-  sim::simd::set_active(simd_sel.isa);
-  sim::SimServer server(options.seed, options.sim_threads, backend_kind,
-                        options.num_shards);
-  if (options.circuit_cache > 0) {
-    // Attach the compiled-cluster cache through the command queue so it
-    // never races gate traffic. Replay is bit-identical to a cold
-    // compile, so this is purely a throughput knob.
-    auto cache = std::make_shared<sim::ClusterCache>(options.circuit_cache);
-    server.call([&cache](sim::Backend& b) {
-      b.set_cluster_cache(cache);
-      return 0;
-    });
+
+  // Resolve the SIMD tier before any backend exists so every sweep of this
+  // job runs the selected kernels. Sweeps run here in-process and in the
+  // distributed replicas; otherwise the hub or qmpid process resolves its
+  // own QMPI_SIMD. Unavailable-ISA fallback is a notice, not an error: the
+  // report records what this node would execute.
+  const sim::simd::Selection simd = sim::simd::resolve(options.simd);
+  if (options.transport == TransportKind::kInproc ||
+      (tcp && backend == sim::BackendKind::kDistributed)) {
+    sim::simd::set_active(simd.isa);
   }
+  if (!simd.notice.empty()) report.notices.push_back(simd.notice);
+
+  std::unique_ptr<JobFabric> fabric;
+  if (tcp) {
+    fabric = std::make_unique<TcpFabric>(options);
+  } else if (options.transport == TransportKind::kService) {
+    fabric = std::make_unique<ServiceFabric>(options, backend);
+  } else {
+    fabric = std::make_unique<InprocFabric>(options, backend);
+  }
+
+  // Under tcp the trace covers only the ranks this process hosts.
   Trace trace;
   Trace* trace_ptr = options.enable_trace ? &trace : nullptr;
-
-  // Collect per-rank category counters for the report.
-  std::vector<std::array<ResourceTracker::Counts,
-                         static_cast<std::size_t>(OpCategory::kCount_)>>
-      per_rank(static_cast<std::size_t>(options.num_ranks));
-
-  classical::Runtime::run(options.num_ranks, [&](classical::Comm& world) {
-    Context ctx(world, server, trace_ptr);
+  const classical::RankBlock block = fabric->transport().local_ranks();
+  std::vector<std::array<ResourceTracker::Counts, kCategories>> per_rank(
+      static_cast<std::size_t>(block.count));
+  const auto rank_body = [&](classical::Comm& world) {
+    Context ctx(world, fabric->sim, trace_ptr);
     fn(ctx);
+    // Run boundary: every op this rank issued must execute (and any
+    // deferred batch error must surface *here*, attributed to a rank, where
+    // the root-cause reporting can see it) before the job may complete.
+    ctx.sim().fence();
     ctx.classical_comm().barrier();
-    for (std::size_t c = 0;
-         c < static_cast<std::size_t>(OpCategory::kCount_); ++c) {
-      per_rank[static_cast<std::size_t>(ctx.rank())][c] =
-          ctx.tracker()[static_cast<OpCategory>(c)];
+    auto& mine = per_rank[static_cast<std::size_t>(ctx.rank() - block.first)];
+    for (std::size_t c = 0; c < kCategories; ++c) {
+      mine[c] = ctx.tracker()[static_cast<OpCategory>(c)];
     }
-  });
+  };
+  try {
+    classical::Runtime::run(fabric->transport(), rank_body);
+  } catch (const classical::ShutdownError&) {
+    fabric->aborted();
+    throw;
+  }
 
-  JobReport report;
   for (const auto& rank_counts : per_rank) {
-    for (std::size_t c = 0;
-         c < static_cast<std::size_t>(OpCategory::kCount_); ++c) {
+    for (std::size_t c = 0; c < kCategories; ++c) {
       report.totals_by_category[c] += rank_counts[c];
     }
   }
+  fabric->finish(report);
   report.trace = trace.snapshot();
-  if (!backend_notice.empty()) report.notices.push_back(backend_notice);
-  if (!simd_sel.notice.empty()) report.notices.push_back(simd_sel.notice);
   return report;
 }
 

@@ -147,12 +147,8 @@ struct PersistentHandle {
 /// with their inverses (§4.4, §4.5) plus resource accounting.
 class Context {
  public:
-  /// In-process construction: quantum operations go to the shared
-  /// SimServer through a LocalSimClient.
-  Context(classical::Comm user_comm, sim::SimServer& server, Trace* trace);
-
-  /// Transport-agnostic construction: quantum operations go wherever
-  /// `sim` points (the in-process server or a remote hub backend).
+  /// Quantum operations go wherever `sim` points: the in-process server,
+  /// a remote hub backend, a distributed replica, or a service session.
   Context(classical::Comm user_comm, std::shared_ptr<sim::SimClient> sim,
           Trace* trace);
 
@@ -462,7 +458,6 @@ class Context {
   double probability_one(Qubit q);
 
  private:
-  friend class JobHarness;
   /// Collective schedules live in core/collective_algos.{hpp,cpp} as free
   /// functions selected per call (see algos::select_bcast/select_reduce);
   /// ContextOps is their narrow doorway to the per-qubit copy protocol.
@@ -482,13 +477,16 @@ class Context {
   void establish_epr(Qubit qubit, int peer, int ptag);
 
   /// Copy/move protocol phases (no scope push). send_begin allocates and
-  /// initiates the EPR half; *_complete finish the EPR pair and run the
-  /// data phase of Fig. 3 / appendix A.1.
+  /// initiates the EPR half; once epr_complete has finished the pair, the
+  /// *_data functions run the data phase of Fig. 3 / appendix A.1.
+  /// Exchanges of several qubits complete every pair before any data
+  /// phase: a higher-ranked peer posts all its qubit ids up front on the
+  /// tag that later carries its fix-ups.
   Qubit send_begin(int dest, int ptag);
-  void send_complete(Qubit q, Qubit epr_half, int dest, int ptag);
-  void recv_complete(Qubit q, int source, int ptag);
-  void send_move_complete(Qubit q, Qubit epr_half, int dest, int ptag);
-  void recv_move_complete(Qubit q, int source, int ptag);
+  void send_data(Qubit q, Qubit epr_half, int dest, int ptag);
+  void recv_data(Qubit q, int source, int ptag);
+  void send_move_data(Qubit q, Qubit epr_half, int dest, int ptag);
+  void recv_move_data(Qubit q, int source, int ptag);
 
   /// Bidirectional teleport with handle replacement (sendrecv_replace and
   /// its inverse share this body).
@@ -628,14 +626,18 @@ struct JobReport {
   }
 };
 
-/// Runs `fn` as a QMPI job on `options.num_ranks` ranks. With the default
-/// in-process transport every rank is a thread sharing one simulation
-/// server (the mpirun of this prototype). Under QMPI_TRANSPORT=tcp this
-/// process joins a qmpirun-launched multi-process job instead: it hosts
-/// its contiguous block of ranks (one thread each), forwards quantum
-/// operations to the hub's backend, and returns a JobReport whose resource
-/// totals are world-summed — i.e. identical in every process. The trace,
-/// when enabled, only covers locally hosted ranks under tcp.
+/// Runs `fn` as a QMPI job on `options.num_ranks` ranks (>= 1, else
+/// QmpiError). Every transport takes the same path: this process's ranks
+/// run as threads sharing one SimClient, each rank's run boundary fences
+/// its quantum ops and barriers, and the first root-cause rank failure is
+/// rethrown. The default in-process transport hosts every rank and one
+/// simulation server (the mpirun of this prototype); under
+/// QMPI_TRANSPORT=service quantum operations go to a qmpid session
+/// instead. Under QMPI_TRANSPORT=tcp this process joins a qmpirun-launched
+/// multi-process job: it hosts its contiguous block of ranks, forwards
+/// quantum operations to the hub's backend, and returns a JobReport whose
+/// resource totals are world-summed — identical in every process. The
+/// trace, when enabled, only covers locally hosted ranks under tcp.
 JobReport run(const JobOptions& options,
               const std::function<void(Context&)>& fn);
 

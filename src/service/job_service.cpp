@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <utility>
 
@@ -102,12 +103,14 @@ void JobService::stop() {
     work_cv_.notify_all();
     admit_cv_.notify_all();
   }
+  // shutdown() wakes the blocked accept(); the fd is closed and cleared
+  // only after the accept thread, which reads it, has been joined.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<std::thread> conns;
   {
     const qmpi::LockGuard lock(mu_);
@@ -132,6 +135,7 @@ ServiceStats JobService::stats() const {
   s.reserved_amps = reserved_amps_;
   s.forged_dropped = forged_dropped_;
   s.ops_executed = ops_executed_;
+  s.connection_threads = conn_threads_.size();
   if (cache_) {
     s.cache_hits = cache_->hits();
     s.cache_misses = cache_->misses();
@@ -147,15 +151,37 @@ void JobService::accept_loop() {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      return;  // listen fd closed by stop()
+      return;  // listen fd shut down by stop()
     }
     ::fcntl(fd, F_SETFD, FD_CLOEXEC);
-    const qmpi::LockGuard lock(mu_);
-    if (stopping_) {
-      ::close(fd);
-      return;
+    std::vector<std::thread> finished;
+    {
+      const qmpi::LockGuard lock(mu_);
+      if (stopping_) {
+        ::close(fd);
+        return;
+      }
+      // Reap the connections that ended since the last accept, so a
+      // resident service keeps one thread (and stack) per live connection
+      // rather than one per connection it ever served.
+      const std::vector<std::thread::id>& ended = finished_conns_;
+      const auto done = std::partition(
+          conn_threads_.begin(), conn_threads_.end(),
+          [&ended](const std::thread& t) {
+            return std::find(ended.begin(), ended.end(), t.get_id()) ==
+                   ended.end();
+          });
+      finished.assign(std::make_move_iterator(done),
+                      std::make_move_iterator(conn_threads_.end()));
+      conn_threads_.erase(done, conn_threads_.end());
+      finished_conns_.clear();
+      conn_threads_.emplace_back([this, fd] {
+        serve_connection(fd);
+        const qmpi::LockGuard done_lock(mu_);
+        finished_conns_.push_back(std::this_thread::get_id());
+      });
     }
-    conn_threads_.emplace_back([this, fd] { serve_connection(fd); });
+    for (std::thread& t : finished) t.join();
   }
 }
 

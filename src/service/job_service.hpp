@@ -76,6 +76,8 @@ struct ServiceStats {
   std::uint64_t cache_hits = 0;       ///< shared cluster-cache counters
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
+  std::size_t connection_threads = 0; ///< held: live connections plus ended
+                                      ///< ones the next accept will join
 };
 
 /// The resident job service. start() binds the port and spawns the accept
@@ -185,6 +187,8 @@ class JobService {
   std::thread accept_thread_;
   std::vector<std::thread> executors_;
   std::vector<std::thread> conn_threads_ QMPI_GUARDED_BY(mu_);
+  /// Connection threads that returned and await a join by accept_loop().
+  std::vector<std::thread::id> finished_conns_ QMPI_GUARDED_BY(mu_);
   bool started_ = false;
 
   /// Guards all mutable session/queue state below. Top of the service

@@ -308,6 +308,33 @@ TEST(QmpiMoveCollectives, AlltoallMoveTransposesBlocks) {
   });
 }
 
+TEST(QmpiMoveCollectives, AlltoallMoveTransposesBlocksOfTwo) {
+  // Blocks of count >= 2 share one tag per pair for ids and fix-ups.
+  constexpr int kRanks = 2;
+  constexpr std::size_t kCount = 2;
+  constexpr std::size_t kSlots = kRanks * kCount;
+  const auto angle = [](int rank, std::size_t slot) {
+    return 0.2 * (static_cast<double>(rank * kSlots + slot) + 1);
+  };
+  run(kRanks, [&](Context& ctx) {
+    QubitArray out = ctx.alloc_qmem(kSlots);
+    for (std::size_t s = 0; s < kSlots; ++s) {
+      ctx.ry(out[s], angle(ctx.rank(), s));
+    }
+    QubitArray in = ctx.alloc_qmem(kSlots);
+    ctx.alltoall_move(out.data(), in.data(), kCount);
+    for (int j = 0; j < kRanks; ++j) {
+      for (std::size_t i = 0; i < kCount; ++i) {
+        const auto sent = static_cast<std::size_t>(ctx.rank()) * kCount + i;
+        const Qubit got = in[static_cast<std::size_t>(j) * kCount + i];
+        EXPECT_NEAR(qt::exp1(ctx, got, 'Z'), std::cos(angle(j, sent)), 1e-9)
+            << "rank " << ctx.rank() << " from " << j << " slot " << i;
+      }
+    }
+    ctx.barrier();
+  });
+}
+
 TEST(QmpiCollectives, BackToBackCollectivesStayConsistent) {
   // Repeated bcast/unbcast cycles with alternating algorithms must not
   // cross-wire protocol traffic.

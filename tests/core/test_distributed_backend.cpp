@@ -26,6 +26,7 @@
 
 #include "classical/comm.hpp"
 #include "classical/error.hpp"
+#include "classical/runtime.hpp"
 #include "classical/socket_transport.hpp"
 #include "core/qmpi.hpp"
 #include "core/sim_dist.hpp"
@@ -95,41 +96,14 @@ std::uint64_t run_distributed_job(
         cfg.sim_threads = 1;
         client.begin_run(cfg);
 
-        const RankBlock block = transport.local_ranks();
-        std::vector<std::thread> ranks;
-        std::vector<std::exception_ptr> rank_errors(
-            static_cast<std::size_t>(block.count));
-        for (int i = 0; i < block.count; ++i) {
-          ranks.emplace_back([&, i] {
-            try {
-              Comm world = Comm::world(transport, block.first + i);
-              Context ctx(std::move(world), sim, nullptr);
-              rank_fn(ctx);
-              ctx.sim().fence();
-              ctx.classical_comm().barrier();
-            } catch (...) {
-              rank_errors[static_cast<std::size_t>(i)] =
-                  std::current_exception();
-              transport.fail("rank " + std::to_string(block.first + i) +
-                             " failed");
-            }
+        try {
+          classical::Runtime::run(transport, [&](Comm& world) {
+            Context ctx(world, sim, nullptr);
+            rank_fn(ctx);
+            ctx.sim().fence();
+            ctx.classical_comm().barrier();
           });
-        }
-        for (auto& t : ranks) t.join();
-        std::exception_ptr first;
-        bool any_shutdown = false;
-        for (auto& e : rank_errors) {
-          if (!e) continue;
-          try {
-            std::rethrow_exception(e);
-          } catch (const ShutdownError&) {
-            any_shutdown = true;
-          } catch (...) {
-            if (!first) first = e;
-          }
-        }
-        if (first) std::rethrow_exception(first);
-        if (any_shutdown) {
+        } catch (const ShutdownError&) {
           throw QmpiError("QMPI job aborted: " + client.dead_reason());
         }
         client.end_run({});

@@ -109,6 +109,66 @@ TEST(QmpiMove, SendrecvReplaceRotatesStatesAroundARing) {
   });
 }
 
+/// Every rank shifts `count` distinct Ry states one step along the ring
+/// (with 2 ranks: a pairwise swap), checks it now holds its predecessor's
+/// states, and with `round_trip` moves them back with unsendrecv_replace.
+JobReport replace_ring(int ranks, std::size_t count, bool round_trip) {
+  const auto angle = [](int rank, std::size_t i) {
+    return 0.3 + 0.4 * rank + 0.17 * static_cast<double>(i);
+  };
+  return run(ranks, [&](Context& ctx) {
+    QubitArray q = ctx.alloc_qmem(count);
+    for (std::size_t i = 0; i < count; ++i) ctx.ry(q[i], angle(ctx.rank(), i));
+    const int next = (ctx.rank() + 1) % ctx.size();
+    const int prev = (ctx.rank() - 1 + ctx.size()) % ctx.size();
+    const auto expect_states = [&](int owner, const char* where) {
+      for (std::size_t i = 0; i < count; ++i) {
+        EXPECT_NEAR(qt::exp1(ctx, q[i], 'Z'), std::cos(angle(owner, i)), 1e-12)
+            << where << " qubit " << i;
+        EXPECT_NEAR(qt::exp1(ctx, q[i], 'X'), std::sin(angle(owner, i)), 1e-12)
+            << where << " qubit " << i;
+      }
+    };
+    ctx.sendrecv_replace(q, count, next, prev, 0);
+    expect_states(prev, "after sendrecv_replace");
+    if (round_trip) {
+      ctx.barrier();
+      ctx.unsendrecv_replace(q, count, next, prev, 0);
+      expect_states(ctx.rank(), "after unsendrecv_replace");
+    }
+    ctx.barrier();
+  });
+}
+
+/// Table 1: each qubit moved costs 1 EPR pair and 2 classical bits.
+void expect_move_resources(const JobReport& report, OpCategory category,
+                           std::uint64_t moved) {
+  EXPECT_EQ(report[category].epr_pairs, moved);
+  EXPECT_EQ(report[category].classical_bits, 2 * moved);
+}
+
+TEST(QmpiMove, SendrecvReplaceSwapsSeveralQubitsBetweenTwoRanks) {
+  // The higher rank posts all of its EPR qubit ids before its first
+  // fix-up, so the receiver must not expect them interleaved.
+  for (const std::size_t count : {2ul, 3ul}) {
+    const JobReport report = replace_ring(2, count, /*round_trip=*/false);
+    expect_move_resources(report, OpCategory::kMove, 2 * count);
+  }
+}
+
+TEST(QmpiMove, SendrecvReplaceRotatesSeveralQubitsAroundARing) {
+  // Mid-exchange every rank holds its 2 qubits, 2 EPR halves and 2
+  // incoming qubits: a 24-qubit state, the widest this suite builds.
+  const JobReport report = replace_ring(4, 2, /*round_trip=*/false);
+  expect_move_resources(report, OpCategory::kMove, 4 * 2);
+}
+
+TEST(QmpiMove, UnsendrecvReplaceRestoresSeveralQubits) {
+  const JobReport report = replace_ring(2, 2, /*round_trip=*/true);
+  expect_move_resources(report, OpCategory::kMove, 2 * 2);
+  expect_move_resources(report, OpCategory::kUnmove, 2 * 2);
+}
+
 TEST(QmpiMove, ResourcesMatchTable1PerQubit) {
   // Table 1: move = 1 EPR + 2 bits; unmove = 1 EPR + 2 bits (per qubit).
   for (const std::size_t count : {1ul, 3ul}) {

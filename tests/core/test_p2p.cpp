@@ -125,6 +125,31 @@ TEST(QmpiP2PCopy, SimultaneousBidirectionalExchangeDoesNotCrossWire) {
   });
 }
 
+TEST(QmpiP2PCopy, SendrecvCopiesSeveralQubitsBothWays) {
+  // With count >= 2 the higher rank's up-front qubit ids must not be read
+  // as fix-up bits (they share the tag).
+  constexpr std::size_t kCount = 2;
+  const JobReport report = run(2, [](Context& ctx) {
+    const auto angle = [](int rank, std::size_t i) {
+      return 0.4 + 0.9 * rank + 0.3 * static_cast<double>(i);
+    };
+    QubitArray mine = ctx.alloc_qmem(kCount);
+    QubitArray theirs = ctx.alloc_qmem(kCount);
+    for (std::size_t i = 0; i < kCount; ++i) {
+      ctx.ry(mine[i], angle(ctx.rank(), i));
+    }
+    const int peer = 1 - ctx.rank();
+    ctx.sendrecv(mine, kCount, peer, 5, theirs, kCount, peer, 5);
+    for (std::size_t i = 0; i < kCount; ++i) {
+      EXPECT_NEAR(qt::exp1(ctx, theirs[i], 'Z'), std::cos(angle(peer, i)),
+                  1e-12);
+    }
+    ctx.barrier();
+  });
+  EXPECT_EQ(report[OpCategory::kCopy].epr_pairs, 2 * kCount);
+  EXPECT_EQ(report[OpCategory::kCopy].classical_bits, 2 * kCount);
+}
+
 TEST(QmpiP2PCopy, ResourcesMatchTable1PerQubit) {
   // Table 1: copy = 1 EPR + 1 bit; uncopy = 0 EPR + 1 bit (per qubit).
   for (const std::size_t count : {1ul, 2ul, 5ul}) {
