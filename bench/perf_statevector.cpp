@@ -175,7 +175,26 @@ void BM_AllocateRelease(benchmark::State& state) {
     sv.deallocate(q[0]);
   }
 }
-BENCHMARK(BM_AllocateRelease)->Arg(4)->Arg(12)->Arg(18);
+BENCHMARK(BM_AllocateRelease)->Arg(4)->Arg(12)->Arg(18)->Arg(20);
+
+// One boundary-spin round of the paper's Listing 1 as the simulator sees
+// it: a fresh qubit is entangled with a spin, measured, reset and freed.
+void BM_MeasureFree(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  sim::StateVector sv(g_seed);
+  const auto q = sv.allocate(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    sv.ry(q[i], 0.3 + 0.1 * static_cast<double>(i));
+  }
+  for (auto _ : state) {
+    const auto a = sv.allocate(1);
+    sv.h(a[0]);
+    sv.cnot(a[0], q[n / 2]);
+    if (sv.measure(a[0])) sv.x(a[0]);
+    sv.deallocate_classical(a[0]);
+  }
+}
+BENCHMARK(BM_MeasureFree)->Arg(12)->Arg(20);
 
 void BM_PauliRotationDirect(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -189,7 +189,7 @@ void ShardedStateVector::grow_state() {
     std::vector<std::vector<Complex>> next(shards_);
     if (active == 1) {
       next[0] = std::move(slices_[0]);
-      next[0].resize(m_old * 2, Complex(0.0, 0.0));
+      next[0].resize(m_old * 2);  // value-initialised: a memset
     } else {
       for (unsigned w = 0; w < active; ++w) {
         if (w < active / 2) {

@@ -1,9 +1,11 @@
 #include "sim/statevector.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
 #include "sim/kernels.hpp"
+#include "sim/simd.hpp"
 #include "sim/sweep.hpp"
 
 namespace qmpi::sim {
@@ -12,38 +14,79 @@ StateVector::StateVector(std::uint64_t seed) : Backend(seed) {
   amplitudes_ = {Complex(1.0, 0.0)};  // the empty register: a scalar 1
 }
 
+namespace {
+
+/// End of the run holding index `i`, clipped to `end`. A run is the 2^pos
+/// indices that agree on bit pos and above (low_mask = 2^pos - 1). It is
+/// contiguous in memory whether the indices are flat or compressed, since
+/// insert_bit keeps the bits below pos.
+std::size_t run_end(std::size_t i, std::size_t end, std::size_t low_mask) {
+  return std::min(end, (i | low_mask) + 1);
+}
+
+/// Below simd::kMinRun amplitudes per run, the per-run loop set-up (and
+/// the memset or memmove call the compiler makes of a run's loop) costs
+/// more than the run, so those positions are walked index by index.
+bool short_runs(std::size_t pos) {
+  return (std::size_t{1} << pos) < simd::kMinRun;
+}
+
+}  // namespace
+
 void StateVector::grow_state() {
-  // Appending a |0> factor: amplitudes double, upper half is zero.
-  amplitudes_.resize(amplitudes_.size() * 2, Complex(0.0, 0.0));
+  // Appending a |0> factor: amplitudes double, upper half is zero. The
+  // value-initialising resize zero-fills with a plain memset (the
+  // fill-value overload is ~10x slower) and reuses the capacity a
+  // previous remove_position_state kept.
+  amplitudes_.resize(amplitudes_.size() * 2);
 }
 
 double StateVector::probability_one_at(std::size_t pos) const {
-  // Sweep only the half of the state with the target bit set, enumerating
-  // compressed indices and splicing the bit back in.
+  // Sweep only the half of the state with the target bit set. Chunks and
+  // the in-chunk order are over compressed indices (the order the sharded
+  // engine copies); each run of them is one contiguous stretch of memory.
   const std::size_t half = amplitudes_.size() / 2;
   const Complex* amp = amplitudes_.data();
   return chunked_reduce<double>(
       num_threads_, half, [amp, pos](std::size_t begin, std::size_t end) {
         double p = 0.0;
-        for (std::size_t k = begin; k < end; ++k) {
-          p += std::norm(amp[kernels::insert_bit(k, pos, true)]);
+        if (short_runs(pos)) {
+          for (std::size_t k = begin; k < end; ++k) {
+            p += std::norm(amp[kernels::insert_bit(k, pos, true)]);
+          }
+          return p;
+        }
+        const std::size_t low_mask = (std::size_t{1} << pos) - 1;
+        for (std::size_t k = begin; k < end;) {
+          const std::size_t hi = run_end(k, end, low_mask);
+          const Complex* a = amp + kernels::insert_bit(k, pos, true);
+          for (; k < hi; ++k) p += std::norm(*a++);
         }
         return p;
       });
 }
 
 void StateVector::remove_position_state(std::size_t pos, bool bit) {
-  const std::size_t n = amplitudes_.size();
-  std::vector<Complex> reduced(n / 2);
-  const Complex* src = amplitudes_.data();
-  Complex* dst = reduced.data();
-  parallel_sweep(num_threads_, n / 2,
-                 [src, dst, pos, bit](std::size_t begin, std::size_t end) {
-                   for (std::size_t o = begin; o < end; ++o) {
-                     dst[o] = src[kernels::insert_bit(o, pos, bit)];
-                   }
-                 });
-  amplitudes_ = std::move(reduced);
+  // Compact the kept half to the front of the same buffer, run by run.
+  // Run k moves down to k * 2^pos from (2k + bit) * 2^pos, so one forward
+  // pass only overwrites amplitudes it has already read, and no run's
+  // source overlaps its own destination. Lanes could not share the pass:
+  // a run's destination can hold an earlier run's source. The shrinking
+  // resize keeps the capacity for the next grow_state.
+  const std::size_t half = amplitudes_.size() / 2;
+  Complex* amp = amplitudes_.data();
+  if (short_runs(pos)) {
+    for (std::size_t o = 0; o < half; ++o) {
+      amp[o] = amp[kernels::insert_bit(o, pos, bit)];
+    }
+  } else {
+    // With bit 0 the first run is already in place.
+    const std::size_t run = std::size_t{1} << pos;
+    for (std::size_t o = bit ? 0 : run; o < half; o += run) {
+      std::copy_n(amp + kernels::insert_bit(o, pos, bit), run, amp + o);
+    }
+  }
+  amplitudes_.resize(half);
 }
 
 void StateVector::apply_at(const Gate1Q& gate, std::size_t pos,
@@ -72,20 +115,34 @@ void StateVector::apply_matrix_at(std::span<const Complex> matrix,
 }
 
 void StateVector::collapse_at(std::size_t pos, bool bit, double prob_bit) {
-  const std::uint64_t stride = 1ULL << pos;
+  // Runs of 2^pos amplitudes alternate between bit 0 and bit 1: scale the
+  // kept runs, zero the others.
   const double scale = 1.0 / std::sqrt(prob_bit);
   Complex* amp = amplitudes_.data();
-  parallel_sweep(num_threads_, amplitudes_.size(),
-                 [amp, stride, bit, scale](std::size_t begin,
-                                           std::size_t end) {
-                   for (std::size_t i = begin; i < end; ++i) {
-                     if (static_cast<bool>(i & stride) == bit) {
-                       amp[i] *= scale;
-                     } else {
-                       amp[i] = Complex(0.0, 0.0);
-                     }
-                   }
-                 });
+  parallel_sweep(
+      num_threads_, amplitudes_.size(),
+      [amp, pos, bit, scale](std::size_t begin, std::size_t end) {
+        if (short_runs(pos)) {
+          const std::size_t stride = std::size_t{1} << pos;
+          for (std::size_t i = begin; i < end; ++i) {
+            if (static_cast<bool>(i & stride) == bit) {
+              amp[i] *= scale;
+            } else {
+              amp[i] = Complex(0.0, 0.0);
+            }
+          }
+          return;
+        }
+        const std::size_t low_mask = (std::size_t{1} << pos) - 1;
+        for (std::size_t i = begin; i < end;) {
+          const std::size_t hi = run_end(i, end, low_mask);
+          if (static_cast<bool>((i >> pos) & 1U) == bit) {
+            for (; i < hi; ++i) amp[i] *= scale;
+          } else {
+            for (; i < hi; ++i) amp[i] = Complex(0.0, 0.0);
+          }
+        }
+      });
 }
 
 double StateVector::parity_odd_probability(std::uint64_t mask) const {

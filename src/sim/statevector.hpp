@@ -15,7 +15,9 @@ namespace qmpi::sim {
 /// fusion, measurement flow) lives in Backend; this class implements only
 /// the flat-array representation hooks. Qubit allocation appends a |0>
 /// tensor factor, deallocation removes a factor (requiring it to be
-/// disentangled and in |0>, as in ProjectQ-style simulators).
+/// disentangled and in |0>, as in ProjectQ-style simulators). Both work
+/// in place: the buffer keeps its peak capacity, so a grow after a free
+/// neither reallocates nor copies.
 class StateVector : public Backend {
  public:
   /// Creates an empty register. `seed` fixes the measurement RNG so tests

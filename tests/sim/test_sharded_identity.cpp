@@ -11,6 +11,7 @@
 // draw for draw.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <vector>
 
@@ -191,6 +192,44 @@ TEST(ShardedIdentity, ReleaseAllocateDynamics) {
     post(sharded, nt, qt[0]);
     expect_bit_identical(serial, sharded);
     EXPECT_EQ(serial.num_qubits(), sharded.num_qubits());
+  }
+}
+
+TEST(ShardedIdentity, MeasureFreeCyclesAtBottomAndTop) {
+  // The lifecycle of a boundary spin in the paper's Listing 1: allocate a
+  // qubit, entangle it, measure, reset with X, free. The freed qubit is
+  // taken from position 0, 1 or the top, so compaction moves runs of 1,
+  // 2 and 2^(n-1) amplitudes.
+  constexpr std::size_t kTop = ~std::size_t{0};
+  for (const unsigned s : {1U, 4U}) {
+    sim::StateVector serial(17);
+    sim::ShardedStateVector sharded(s, 17);
+    auto qs = serial.allocate(kQubits);
+    auto qt = sharded.allocate(kQubits);
+    prepare(serial, qs);
+    prepare(sharded, qt);
+    auto cycle = [](sim::Backend& sv, std::vector<sim::QubitId>& live,
+                    std::size_t pos) {
+      const sim::QubitId a = sv.allocate(1)[0];
+      live.push_back(a);
+      sv.h(a);
+      sv.cnot(a, live[live.size() / 2]);
+      const sim::QubitId victim = live[pos == kTop ? live.size() - 1 : pos];
+      const bool bit = sv.measure(victim);
+      if (bit) sv.x(victim);
+      sv.deallocate_classical(victim);
+      live.erase(std::find(live.begin(), live.end(), victim));
+      return bit;
+    };
+    for (int round = 0; round < 3; ++round) {
+      for (const std::size_t pos : {std::size_t{0}, std::size_t{1}, kTop}) {
+        ASSERT_EQ(cycle(serial, qs, pos), cycle(sharded, qt, pos))
+            << "shards=" << s << " round=" << round << " pos=" << pos;
+        expect_bit_identical(serial, sharded);
+      }
+    }
+    EXPECT_EQ(serial.num_qubits(), kQubits);
+    EXPECT_EQ(sharded.num_qubits(), kQubits);
   }
 }
 

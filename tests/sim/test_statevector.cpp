@@ -2,10 +2,14 @@
 // lifecycle, amplitudes, and expectation values.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <random>
+#include <vector>
 
 #include "sim/statevector.hpp"
+#include "sim/sweep.hpp"
 
 namespace sim = qmpi::sim;
 using sim::Complex;
@@ -210,6 +214,106 @@ TEST(StateVector, AllocationInterleavedWithGatesKeepsHandlesStable) {
   EXPECT_DOUBLE_EQ(sv.probability_one(a[0]), 1.0);
   EXPECT_DOUBLE_EQ(sv.probability_one(b[1]), 1.0);
   EXPECT_EQ(sv.num_qubits(), 2u);
+}
+
+namespace {
+
+/// Index with `bit` spliced in at `pos` (independent of kernels.hpp).
+std::size_t splice(std::size_t k, std::size_t pos, bool bit) {
+  const std::size_t low = k & ((std::size_t{1} << pos) - 1);
+  return ((k >> pos) << (pos + 1)) | (std::size_t{bit} << pos) | low;
+}
+
+/// P[1] at `pos` summed the way chunked_reduce fixes it: over compressed
+/// indices in kReduceChunk chunks, sequential inside a chunk, partials
+/// added in chunk order.
+double naive_p1(const std::vector<Complex>& a, std::size_t pos) {
+  const std::size_t half = a.size() / 2;
+  double total = 0.0;
+  for (std::size_t c = 0; c < half; c += sim::kReduceChunk) {
+    double part = 0.0;
+    for (std::size_t k = c; k < std::min(half, c + sim::kReduceChunk); ++k) {
+      part += std::norm(a[splice(k, pos, true)]);
+    }
+    total += part;
+  }
+  return total;
+}
+
+/// Seeded random entangled state on `n` qubits (no amplitude is special).
+std::vector<sim::QubitId> random_state(sim::StateVector& sv, std::size_t n) {
+  const auto q = sv.allocate(n);
+  std::mt19937_64 rng(2024);
+  std::uniform_real_distribution<double> angle(-3.0, 3.0);
+  for (std::size_t i = 0; i < n; ++i) sv.ry(q[i], angle(rng));
+  for (std::size_t i = 0; i + 1 < n; ++i) sv.cnot(q[i], q[i + 1]);
+  for (std::size_t i = 0; i < n; ++i) {
+    sv.rz(q[i], angle(rng));
+    sv.ry(q[i], angle(rng));
+  }
+  sv.cnot(q[n - 1], q[0]);
+  return q;
+}
+
+}  // namespace
+
+TEST(StateVector, MeasureAndReleaseMatchNaiveModelAtEveryPosition) {
+  // n = 17 makes the sweeps reach kMinParallel, so 4 lanes really split.
+  for (const std::size_t n : {std::size_t{5}, std::size_t{17}}) {
+    for (std::size_t pos = 0; pos < n; ++pos) {
+      bool seen[2] = {false, false};
+      for (std::uint64_t seed = 1; seed <= 64 && !(seen[0] && seen[1]);
+           ++seed) {
+        std::vector<Complex> after[2];
+        bool outcome[2] = {};
+        for (const unsigned threads : {1U, 4U}) {
+          sim::StateVector sv(seed);
+          sv.set_num_threads(threads);
+          const auto q = random_state(sv, n);
+          const std::vector<Complex> before = sv.amplitudes();
+          const double p1 = naive_p1(before, pos);
+          ASSERT_EQ(sv.probability_one(q[pos]), p1)
+              << "n=" << n << " pos=" << pos;
+          const bool b = sv.release(q[pos]);
+          const double scale = 1.0 / std::sqrt(b ? p1 : 1.0 - p1);
+          std::vector<Complex> want(before.size() / 2);
+          for (std::size_t o = 0; o < want.size(); ++o) {
+            want[o] = before[splice(o, pos, b)];
+            want[o] *= scale;
+          }
+          const auto& got = sv.amplitudes();
+          ASSERT_EQ(got.size(), want.size());
+          for (std::size_t o = 0; o < want.size(); ++o) {
+            ASSERT_EQ(got[o], want[o])
+                << "n=" << n << " pos=" << pos << " amplitude " << o;
+          }
+          after[threads == 4] = got;
+          outcome[threads == 4] = b;
+          seen[b] = true;
+        }
+        ASSERT_EQ(outcome[0], outcome[1]);
+        ASSERT_EQ(after[0], after[1]);
+      }
+      EXPECT_TRUE(seen[0] && seen[1]) << "n=" << n << " pos=" << pos;
+    }
+  }
+}
+
+TEST(StateVector, GrowAfterShrinkReusesTheBuffer) {
+  constexpr std::size_t kBase = 10;
+  sim::StateVector sv;
+  const auto q = sv.allocate(kBase);
+  sv.h(q[3]);
+  const auto a = sv.allocate(1);  // peak: kBase + 1 qubits
+  const Complex* buffer = sv.amplitudes().data();
+  sv.deallocate(a[0]);
+  EXPECT_EQ(sv.amplitudes().data(), buffer);
+  const auto b = sv.allocate(1);
+  EXPECT_EQ(sv.amplitudes().data(), buffer);
+  EXPECT_LE(sv.amplitudes().capacity(), std::size_t{1} << (kBase + 1));
+  // The regrown top half is zero again: the fresh qubit is |0>.
+  EXPECT_EQ(sv.probability_one(b[0]), 0.0);
+  EXPECT_NEAR(sv.norm(), 1.0, 1e-12);
 }
 
 TEST(StateVector, DeallocateNonZeroQubitThrows) {
