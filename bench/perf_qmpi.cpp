@@ -5,7 +5,13 @@
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <barrier>
+#include <thread>
+#include <vector>
+
 #include "core/qmpi.hpp"
+#include "sim/server.hpp"
 
 using namespace qmpi;
 
@@ -107,6 +113,55 @@ void BM_ReduceChain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ReduceChain)->Arg(2)->Arg(4)->Arg(8);
+
+/// SimServer::call on either side of kInlineMaxQubits: `callers` threads
+/// (args: register width, callers) each run rounds of an Ry gate and a
+/// probability_one query on their own qubit, the call mix of a rank
+/// thread. Widths up to 16 run on the callers, wider ones on the command
+/// thread, so the series shows what each path costs where they meet.
+void BM_SimServerCall(benchmark::State& state) {
+  constexpr int kPairsPerRound = 4;
+  const auto width = static_cast<std::size_t>(state.range(0));
+  const auto callers = static_cast<std::size_t>(state.range(1));
+  sim::SimServer server;
+  const std::vector<sim::QubitId> qubits =
+      server.call([width](sim::Backend& b) { return b.allocate(width); });
+  // The driver and every caller meet at the start and at the end of each
+  // round, so one iteration is one round of all callers.
+  std::barrier<> round(static_cast<std::ptrdiff_t>(callers + 1));
+  std::atomic<bool> done{false};
+  std::vector<std::thread> threads;
+  for (std::size_t c = 0; c < callers; ++c) {
+    threads.emplace_back([&, q = qubits[c]] {
+      for (;;) {
+        round.arrive_and_wait();
+        if (done.load()) return;
+        for (int i = 0; i < kPairsPerRound; ++i) {
+          server.call([q](sim::Backend& b) {
+            b.ry(q, 0.1);
+            return 0;
+          });
+          benchmark::DoNotOptimize(server.call(
+              [q](sim::Backend& b) { return b.probability_one(q); }));
+        }
+        round.arrive_and_wait();
+      }
+    });
+  }
+  for (auto _ : state) {
+    round.arrive_and_wait();
+    round.arrive_and_wait();
+  }
+  done.store(true);
+  round.arrive_and_wait();
+  for (auto& t : threads) t.join();
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(callers) * 2 *
+                          kPairsPerRound);
+}
+BENCHMARK(BM_SimServerCall)
+    ->ArgsProduct({{12, 14, 16, 18, 20}, {2, 4}})
+    ->UseRealTime();
 
 }  // namespace
 

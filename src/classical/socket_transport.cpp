@@ -594,8 +594,8 @@ void Hub::handle_frame(int proc, Frame frame) {
         std::vector<std::byte> result;
         {
           // The sim mutex is the quantum serialization point: ops from all
-          // ranks execute in arrival order, exactly like the in-process
-          // SimServer command thread. It is separate from mu_ so an
+          // ranks execute one at a time in arrival order, as under the
+          // in-process SimServer's exec_mu. It is separate from mu_ so an
           // O(2^n) sweep never stalls classical routing.
           const qmpi::LockGuard sim_lock(sim_mu_);
           if (!services_.sim) {

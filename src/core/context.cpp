@@ -725,7 +725,7 @@ class JobFabric {
   std::shared_ptr<sim::SimClient> sim;
 };
 
-/// inproc: every quantum operation is a command on one in-process
+/// inproc: every quantum operation is a call on one in-process
 /// SimServer.
 class InprocFabric final : public JobFabric {
  public:
@@ -734,7 +734,7 @@ class InprocFabric final : public JobFabric {
         server_(options.seed, options.sim_threads, backend,
                 options.num_shards) {
     if (options.circuit_cache > 0) {
-      // Attach the compiled-cluster cache through the command queue so it
+      // Attach the compiled-cluster cache through SimServer::call so it
       // never races gate traffic. Replay is bit-identical to a cold
       // compile, so this is purely a throughput knob.
       auto cache = std::make_shared<sim::ClusterCache>(options.circuit_cache);

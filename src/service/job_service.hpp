@@ -93,8 +93,8 @@ struct ServiceStats {
 /// one command (one kSvcCall op or one kSvcBatch of gates) before moving
 /// on, so an op-dense tenant cannot starve the others between O(2^n)
 /// sweeps. At most one executor runs a given session at a time — each
-/// Backend stays single-threaded exactly as SimServer guarantees
-/// elsewhere.
+/// Backend runs one call at a time, as SimServer's exec_mu guarantees
+/// in-process.
 class JobService {
  public:
   explicit JobService(ServiceConfig config = {});

@@ -18,8 +18,8 @@ namespace qmpi::sim {
 /// surface instead of raw closures over the Backend.
 ///
 /// Two implementations exist:
-///   - LocalSimClient (below): submits to the in-process SimServer — the
-///     path every threads-as-ranks job takes.
+///   - LocalSimClient (below): calls the in-process SimServer — the path
+///     every threads-as-ranks job takes.
 ///   - RemoteSimClient (core/sim_wire.hpp): serializes each call onto the
 ///     rank process's hub connection, where the launcher-hosted backend
 ///     executes it — the paper's "forward quantum operations to rank 0"
@@ -95,8 +95,10 @@ inline constexpr std::size_t kDefaultSimBatchOps = 1024;
 inline constexpr std::size_t kMaxSimBatchOps = 1u << 20;
 
 /// SimClient over the in-process SimServer: each call is one serialized
-/// command on the server's worker thread, preserving the strict arrival
-/// order the shared-state simulation depends on.
+/// SimServer::call, preserving the strict arrival order the shared-state
+/// simulation depends on. It runs on this rank's thread while the register
+/// is at most kInlineMaxQubits wide and on the server's command thread
+/// beyond that.
 class LocalSimClient final : public SimClient {
  public:
   explicit LocalSimClient(SimServer& server) : server_(&server) {}

@@ -11,6 +11,7 @@
 #include <thread>
 
 #include "core/lock_order.hpp"
+#include "core/qmpi.hpp"
 #include "core/sync.hpp"
 
 namespace {
@@ -182,12 +183,62 @@ TEST_F(LockOrderTest, DisabledValidatorChecksNothing) {
   b.lock();
   b.unlock();
   a.unlock();
-  b.lock();
-  EXPECT_NO_THROW(a.lock());
-  a.unlock();
-  b.unlock();
+  // The reverse order on second instances of the same two sites: the same
+  // inversion to the validator, which classes by site, but none to
+  // ThreadSanitizer, which classes by address and runs this suite too.
+  Mutex a2("lockorder_test::A");
+  Mutex b2("lockorder_test::B");
+  b2.lock();
+  EXPECT_NO_THROW(a2.lock());
+  a2.unlock();
+  b2.unlock();
   EXPECT_EQ(qmpi::lockorder::edge_count(), 0u);
   EXPECT_EQ(qmpi::lockorder::violation_count(), 0u);
+}
+
+TEST_F(LockOrderTest, InprocJobHoldsNoClassicalLockAcrossASimCall) {
+  // Narrow sim calls run on the rank threads under SimServer::exec_mu and
+  // wide ones are handed over under SimServer::mutex. A Mailbox lock held
+  // across either would record a Mailbox::mutex -> SimServer edge, and
+  // taking Mailbox::mutex under the SimServer locks below would then close
+  // a cycle. The circuit cache nests ClusterCache::mu inside exec_mu, so
+  // the job records edges of its own.
+  qmpi::JobOptions options;
+  options.num_ranks = 4;
+  options.circuit_cache = 64;
+  qmpi::run(options, [](qmpi::Context& ctx) {
+    const int rank = ctx.rank();
+    const int next = (rank + 1) % ctx.size();
+    const int prev = (rank + ctx.size() - 1) % ctx.size();
+    qmpi::QubitArray mine = ctx.alloc_qmem(1);
+    ctx.ry(mine[0], 0.4 + 0.3 * rank);
+    for (int hop = 0; hop < ctx.size(); ++hop) {
+      ctx.sendrecv_replace(mine, 1, next, prev, hop);
+    }
+    qmpi::ReductionHandle h = ctx.allreduce(mine, 1, qmpi::parity_op());
+    ctx.unallreduce(h, mine);
+    qmpi::QubitArray shared = ctx.alloc_qmem(1);
+    if (rank == 0) ctx.ry(shared[0], 1.1);
+    ctx.bcast(shared, 1, /*root=*/0);
+    ctx.unbcast(shared, 1, /*root=*/0);
+    ctx.barrier();
+  });
+  EXPECT_EQ(qmpi::lockorder::violation_count(), 0u);
+  EXPECT_GT(qmpi::lockorder::edge_count(), 0u);
+
+  Mutex mailbox("Mailbox::mutex");
+  for (const char* sim_site : {"SimServer::exec_mu", "SimServer::mutex"}) {
+    Mutex sim(sim_site);
+    sim.lock();
+    try {
+      mailbox.lock();
+      mailbox.unlock();
+    } catch (const LockOrderError& e) {
+      ADD_FAILURE() << "Mailbox::mutex is held across a " << sim_site
+                    << " acquisition: " << e.what();
+    }
+    sim.unlock();
+  }
 }
 
 }  // namespace
